@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race bench bench-diff ci verify e2e
+.PHONY: build test test-race cross-arm64 bench bench-diff ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ test:
 # them.
 test-race:
 	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim
+
+# Vets and compiles the tensor package and its tests for arm64, where
+# the generic Go row kernel stands in for the amd64 AVX2 assembly, so
+# the non-assembly path keeps building.
+cross-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/tensor
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -55,7 +61,7 @@ vet:
 
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync.
-ci: build vet fmt-check test test-race
+ci: build vet fmt-check test cross-arm64 test-race
 
 .PHONY: fmt-check vet
 

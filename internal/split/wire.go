@@ -262,8 +262,14 @@ type encoder struct {
 	buf []byte
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool)  { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
+func (e *encoder) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
@@ -365,7 +371,7 @@ func (d *decoder) str() string {
 }
 func (d *decoder) ints() []int {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || n > len(d.buf) {
+	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/8 {
 		d.fail()
 		return nil
 	}

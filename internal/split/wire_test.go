@@ -2,6 +2,7 @@ package split
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -251,5 +252,41 @@ func TestBackwardReqApplyFlag(t *testing.T) {
 	without := roundTrip(t, &BackwardReq{Iter: 3, Apply: false, Gradients: g}).(*BackwardReq)
 	if without.Apply {
 		t.Fatal("Apply=false lost")
+	}
+}
+
+// TestDecoderIntsRejectsForgedCount pins the ints count bound to the
+// bytes left after the count, not the whole payload: a forged count
+// that fits the frame length but not the remaining 8-byte slots must
+// fail without allocating the slice it claims.
+func TestDecoderIntsRejectsForgedCount(t *testing.T) {
+	payload := func(count uint32, slots int) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, count), make([]byte, 8*slots)...)
+	}
+
+	d := decoder{buf: payload(2, 2)}
+	if vs := d.ints(); d.err != nil || len(vs) != 2 {
+		t.Fatalf("exact count: ints = %v, err = %v", vs, d.err)
+	}
+
+	// One more than fits: under a len(buf) bound this allocated three
+	// ints, read two and returned a half-filled slice.
+	d = decoder{buf: payload(3, 2)}
+	if vs := d.ints(); vs != nil || !errors.Is(d.err, ErrShortRead) {
+		t.Fatalf("count past the remaining bytes: ints = %v, err = %v", vs, d.err)
+	}
+
+	// The worst forged count under the old bound claims one int per
+	// payload byte, an 8x allocation amplification.
+	forged := payload(0, 64)
+	binary.LittleEndian.PutUint32(forged, uint32(len(forged)))
+	allocs := testing.AllocsPerRun(10, func() {
+		d := decoder{buf: forged}
+		if d.ints() != nil || d.err == nil {
+			t.Fatal("forged count accepted")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("forged count allocated %v times per decode", allocs)
 	}
 }

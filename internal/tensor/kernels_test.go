@@ -8,7 +8,10 @@ import (
 // Reference kernels: the naive loops the tiled implementations must
 // reproduce bit for bit. Each accumulates in ascending p order per
 // output element, exactly like the production kernels, so comparisons
-// below demand exact equality rather than a tolerance.
+// below demand exact equality rather than a tolerance. The float32
+// conversions round every product before its add: without them a
+// compiler may fuse the pair into an FMA (arm64 does), and the
+// reference would stop defining the same bits on every GOARCH.
 
 func refMatMulAccum(dst, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
@@ -16,7 +19,7 @@ func refMatMulAccum(dst, a, b *Tensor) {
 		for p := 0; p < k; p++ {
 			av := a.data[i*k+p]
 			for j := 0; j < n; j++ {
-				dst.data[i*n+j] += av * b.data[p*n+j]
+				dst.data[i*n+j] += float32(av * b.data[p*n+j])
 			}
 		}
 	}
@@ -28,7 +31,7 @@ func refMatMulT(dst, a, b *Tensor) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.data[i*k+p] * b.data[j*k+p]
+				s += float32(a.data[i*k+p] * b.data[j*k+p])
 			}
 			dst.data[i*n+j] = s
 		}
@@ -41,7 +44,7 @@ func refMatMulTAccum(dst, a, b *Tensor) {
 		for p := 0; p < k; p++ {
 			av := a.data[p*m+i]
 			for j := 0; j < n; j++ {
-				dst.data[i*n+j] += av * b.data[p*n+j]
+				dst.data[i*n+j] += float32(av * b.data[p*n+j])
 			}
 		}
 	}
@@ -62,9 +65,11 @@ func expectBitIdentical(t *testing.T, got, want *Tensor, label string) {
 	}
 }
 
-// boundaryShapes straddle the 4-row register-tile boundary (the classic
-// off-by-one surface for blocked kernels) and use odd inner/outer dims.
-var boundaryShapes = []struct{ m, k, n int }{
+// boundaryShapes straddle the 4-row tile and 4-step reduction
+// boundaries (the classic off-by-one surface for blocked kernels) and
+// the row kernel's 8-lane tail with odd inner/outer dims, then add the
+// split workload's own shapes (benchShapes).
+var boundaryShapes = append([]struct{ m, k, n int }{
 	{1, 1, 1},
 	{2, 3, 5},
 	{3, 7, 9},
@@ -75,7 +80,7 @@ var boundaryShapes = []struct{ m, k, n int }{
 	{65, 29, 21},
 	{66, 5, 1},
 	{7, 64, 65},
-}
+}, benchShapes...)
 
 func TestMatMulVariantsMatchReferenceAtTileBoundaries(t *testing.T) {
 	prev := Parallelism()

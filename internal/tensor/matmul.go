@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Blocking parameters for the tiled kernels. All four variants
 // partition work by output row, so any parallel split produces the
@@ -41,7 +44,7 @@ func MatMul(dst, a, b *Tensor) error {
 		return fmt.Errorf("%w: matmul %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
 	dst.Zero()
-	matmulAccum(dst.data, a.data, b.data, m, k, n)
+	matmulAccum(dst.data, a.data, b.data, m, k, n, k, 1)
 	return nil
 }
 
@@ -57,132 +60,62 @@ func MatMulAccum(dst, a, b *Tensor) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("%w: matmul %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
-	matmulAccum(dst.data, a.data, b.data, m, k, n)
+	matmulAccum(dst.data, a.data, b.data, m, k, n, k, 1)
 	return nil
 }
 
-func matmulAccum(dst, a, b []float32, m, k, n int) {
+// matmulAccum computes dst += A @ b, where A is (m,k) read through
+// strides, A[i][p] = a[i*rs+p*cs]: (k, 1) reads a row-major a, (1, m)
+// reads the transpose of a row-major (k,m) a in place.
+func matmulAccum(dst, a, b []float32, m, k, n, rs, cs int) {
 	g := matmulGrain(k * n)
 	if serialFor(m, g) {
-		matmulAccumRange(dst, a, b, 0, m, k, n)
+		matmulAccumRange(dst, a, b, 0, m, k, n, rs, cs)
 		return
 	}
 	ParallelFor(m, g, func(lo, hi int) {
-		matmulAccumRange(dst, a, b, lo, hi, k, n)
+		matmulAccumRange(dst, a, b, lo, hi, k, n, rs, cs)
 	})
 }
 
-// matmulAccumRange accumulates output rows [rowLo, rowHi) in the ikj
-// order, register-tiled four output rows at a time and blocked four
-// wide over the reduction index: each pass streams four rows of b
-// against four rows of dst, so every dst element is loaded and stored
-// once per four multiply-adds instead of once per one — the dominant
-// memory traffic at SIMD-width granularity.
+// matmulRowTile is the number of output rows that share each pass
+// over a block of four b rows, so those b rows are loaded from memory
+// once per tile instead of once per output row.
+const matmulRowTile = 4
+
+// matmulAccumRange accumulates output rows [rowLo, rowHi) of
+// dst += A @ b (strides as in matmulAccum) through the axpy4
+// row kernel, four reduction steps per call.
 //
-// Bit-identity discipline: per (i, j) the reduction must run in
-// strictly ascending p order with a single accumulator, and each
-// accumulation must stay its own `v += a*b` statement — a combined
-// `v += a0*b0 + a1*b1` expression re-associates the float adds and
-// changes the bits. The k-block below only reorders *memory* access,
-// never the per-element add sequence, so results remain bit-identical
-// to the unblocked loop at every parallelism setting.
-func matmulAccumRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		a0 := a[(i+0)*k:][:k]
-		a1 := a[(i+1)*k:][:k]
-		a2 := a[(i+2)*k:][:k]
-		a3 := a[(i+3)*k:][:k]
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
+// Bit-identity discipline: per (i, j) the reduction runs in strictly
+// ascending p order into a single accumulator, each product rounded
+// before its add (axpy.go). Row tiling and the p-blocking reorder only
+// memory access, never an element's add sequence, so the result is
+// the naive loop's at every parallelism setting.
+func matmulAccumRange(dst, a, b []float32, rowLo, rowHi, k, n, rs, cs int) {
+	for i0 := rowLo; i0 < rowHi; i0 += matmulRowTile {
+		i1 := min(i0+matmulRowTile, rowHi)
 		p := 0
 		for ; p+4 <= k; p += 4 {
-			av00, av01, av02, av03 := a0[p], a0[p+1], a0[p+2], a0[p+3]
-			av10, av11, av12, av13 := a1[p], a1[p+1], a1[p+2], a1[p+3]
-			av20, av21, av22, av23 := a2[p], a2[p+1], a2[p+2], a2[p+3]
-			av30, av31, av32, av33 := a3[p], a3[p+1], a3[p+2], a3[p+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				bv2 := b2[j]
-				bv3 := b3[j]
-				v0 := d0[j]
-				v0 += av00 * bv0
-				v0 += av01 * bv1
-				v0 += av02 * bv2
-				v0 += av03 * bv3
-				d0[j] = v0
-				v1 := d1[j]
-				v1 += av10 * bv0
-				v1 += av11 * bv1
-				v1 += av12 * bv2
-				v1 += av13 * bv3
-				d1[j] = v1
-				v2 := d2[j]
-				v2 += av20 * bv0
-				v2 += av21 * bv1
-				v2 += av22 * bv2
-				v2 += av23 * bv3
-				d2[j] = v2
-				v3 := d3[j]
-				v3 += av30 * bv0
-				v3 += av31 * bv1
-				v3 += av32 * bv2
-				v3 += av33 * bv3
-				d3[j] = v3
+			bp := b[p*n:][:4*n]
+			for i := i0; i < i1; i++ {
+				ai := a[i*rs+p*cs:]
+				axpy4(dst[i*n:][:n], bp, ai[0], ai[cs], ai[2*cs], ai[3*cs])
 			}
 		}
 		for ; p < k; p++ {
-			av0 := a0[p]
-			av1 := a1[p]
-			av2 := a2[p]
-			av3 := a3[p]
 			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
-			}
-		}
-	}
-	for ; i < rowHi; i++ {
-		ai := a[i*k:][:k]
-		di := dst[i*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			av0, av1, av2, av3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				v := di[j]
-				v += av0 * bv0
-				v += av1 * b1[j]
-				v += av2 * b2[j]
-				v += av3 * b3[j]
-				di[j] = v
-			}
-		}
-		for ; p < k; p++ {
-			av := ai[p]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				di[j] += av * bv
+			for i := i0; i < i1; i++ {
+				axpy1(dst[i*n:][:n], bp, a[i*rs+p*cs])
 			}
 		}
 	}
 }
 
 // MatMulT computes dst = a @ bᵀ: a is (m,k), b is (n,k), dst is (m,n).
-// This avoids materializing the transpose, which the backward pass of a
-// linear layer would otherwise do on every step.
+// It transposes b into a pooled (k,n) buffer and runs the accumulating
+// kernel into the zeroed dst, so each output element sums its products
+// in ascending p order from +0, exactly as a dot-product loop would.
 func MatMulT(dst, a, b *Tensor) error {
 	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
 		return fmt.Errorf("%w: matmulT requires rank-2 operands", ErrShape)
@@ -192,92 +125,22 @@ func MatMulT(dst, a, b *Tensor) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("%w: matmulT %v @ %vᵀ -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
-	g := matmulGrain(k * n)
-	if serialFor(m, g) {
-		matmulTRange(dst.data, a.data, b.data, 0, m, k, n)
-		return nil
+	buf := transposeBufs.Get().(*[]float32)
+	if cap(*buf) < k*n {
+		*buf = make([]float32, k*n)
 	}
-	ParallelFor(m, g, func(lo, hi int) {
-		matmulTRange(dst.data, a.data, b.data, lo, hi, k, n)
-	})
+	bt := (*buf)[:k*n]
+	transposeInto(bt, b.data, n, k)
+	dst.Zero()
+	matmulAccum(dst.data, a.data, bt, m, k, n, k, 1)
+	transposeBufs.Put(buf)
 	return nil
 }
 
-// matmulTRange computes output rows [rowLo, rowHi) of dst = a @ bᵀ.
-// Rows are register-tiled four at a time so each row of b is loaded
-// once per quad instead of once per output element, and the dot
-// products are blocked four wide over k to amortize loop overhead and
-// keep four loads in flight per accumulator. Each dot product still
-// accumulates through a single variable in ascending p order — one
-// `s += a*b` statement per step, never a combined expression — so the
-// bits match the one-row, one-step loop exactly.
-func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		a0 := a[(i+0)*k:][:k]
-		a1 := a[(i+1)*k:][:k]
-		a2 := a[(i+2)*k:][:k]
-		a3 := a[(i+3)*k:][:k]
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k:][:k]
-			var s0, s1, s2, s3 float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				bv0, bv1, bv2, bv3 := bj[p], bj[p+1], bj[p+2], bj[p+3]
-				s0 += a0[p] * bv0
-				s0 += a0[p+1] * bv1
-				s0 += a0[p+2] * bv2
-				s0 += a0[p+3] * bv3
-				s1 += a1[p] * bv0
-				s1 += a1[p+1] * bv1
-				s1 += a1[p+2] * bv2
-				s1 += a1[p+3] * bv3
-				s2 += a2[p] * bv0
-				s2 += a2[p+1] * bv1
-				s2 += a2[p+2] * bv2
-				s2 += a2[p+3] * bv3
-				s3 += a3[p] * bv0
-				s3 += a3[p+1] * bv1
-				s3 += a3[p+2] * bv2
-				s3 += a3[p+3] * bv3
-			}
-			for ; p < k; p++ {
-				bv := bj[p]
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
-			}
-			d0[j] = s0
-			d1[j] = s1
-			d2[j] = s2
-			d3[j] = s3
-		}
-	}
-	for ; i < rowHi; i++ {
-		ai := a[i*k:][:k]
-		di := dst[i*n:][:n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k:][:k]
-			var s float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s += ai[p] * bj[p]
-				s += ai[p+1] * bj[p+1]
-				s += ai[p+2] * bj[p+2]
-				s += ai[p+3] * bj[p+3]
-			}
-			for ; p < k; p++ {
-				s += ai[p] * bj[p]
-			}
-			di[j] = s
-		}
-	}
-}
+// transposeBufs recycles MatMulT's transpose buffers. transposeInto
+// overwrites every element it hands to the kernel, so a recycled
+// buffer's old contents never matter.
+var transposeBufs = sync.Pool{New: func() any { return new([]float32) }}
 
 // MatMulTAccum computes dst += aᵀ @ b: a is (k,m), b is (k,n), dst is
 // (m,n). This is the weight-gradient kernel of a linear layer
@@ -291,119 +154,6 @@ func MatMulTAccum(dst, a, b *Tensor) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("%w: matmulTAccum %vᵀ @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
-	g := matmulGrain(k * n)
-	if serialFor(m, g) {
-		matmulTAccumRange(dst.data, a.data, b.data, 0, m, k, m, n)
-		return nil
-	}
-	ParallelFor(m, g, func(lo, hi int) {
-		matmulTAccumRange(dst.data, a.data, b.data, lo, hi, k, m, n)
-	})
+	matmulAccum(dst.data, a.data, b.data, m, k, n, 1, m)
 	return nil
-}
-
-// matmulTAccumRange accumulates output rows [rowLo, rowHi) of
-// dst += aᵀ @ b. The seed kernel iterated p outermost and touched all
-// m output rows per step; here the loop is inverted so each worker
-// owns a row range (required for a race-free parallel split),
-// register-tiled four output rows at a time, and blocked four wide
-// over the reduction so each dst element is read and written once per
-// four multiply-adds. As everywhere in this file, every accumulation
-// is its own single-add statement in ascending p order, so the bits
-// match the seed kernel exactly.
-func matmulTAccumRange(dst, a, b []float32, rowLo, rowHi, k, m, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			ap0 := a[(p+0)*m:][:m]
-			ap1 := a[(p+1)*m:][:m]
-			ap2 := a[(p+2)*m:][:m]
-			ap3 := a[(p+3)*m:][:m]
-			av00, av01, av02, av03 := ap0[i], ap1[i], ap2[i], ap3[i]
-			av10, av11, av12, av13 := ap0[i+1], ap1[i+1], ap2[i+1], ap3[i+1]
-			av20, av21, av22, av23 := ap0[i+2], ap1[i+2], ap2[i+2], ap3[i+2]
-			av30, av31, av32, av33 := ap0[i+3], ap1[i+3], ap2[i+3], ap3[i+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				bv2 := b2[j]
-				bv3 := b3[j]
-				v0 := d0[j]
-				v0 += av00 * bv0
-				v0 += av01 * bv1
-				v0 += av02 * bv2
-				v0 += av03 * bv3
-				d0[j] = v0
-				v1 := d1[j]
-				v1 += av10 * bv0
-				v1 += av11 * bv1
-				v1 += av12 * bv2
-				v1 += av13 * bv3
-				d1[j] = v1
-				v2 := d2[j]
-				v2 += av20 * bv0
-				v2 += av21 * bv1
-				v2 += av22 * bv2
-				v2 += av23 * bv3
-				d2[j] = v2
-				v3 := d3[j]
-				v3 += av30 * bv0
-				v3 += av31 * bv1
-				v3 += av32 * bv2
-				v3 += av33 * bv3
-				d3[j] = v3
-			}
-		}
-		for ; p < k; p++ {
-			ap := a[p*m:][:m]
-			av0 := ap[i]
-			av1 := ap[i+1]
-			av2 := ap[i+2]
-			av3 := ap[i+3]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
-			}
-		}
-	}
-	for ; i < rowHi; i++ {
-		di := dst[i*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			av0 := a[(p+0)*m+i]
-			av1 := a[(p+1)*m+i]
-			av2 := a[(p+2)*m+i]
-			av3 := a[(p+3)*m+i]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				v := di[j]
-				v += av0 * bv0
-				v += av1 * b1[j]
-				v += av2 * b2[j]
-				v += av3 * b3[j]
-				di[j] = v
-			}
-		}
-		for ; p < k; p++ {
-			av := a[p*m+i]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
-		}
-	}
 }

@@ -236,10 +236,25 @@ func Transpose(a *Tensor) (*Tensor, error) {
 	}
 	rows, cols := a.shape[0], a.shape[1]
 	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = a.data[r*cols+c]
+	transposeInto(out.data, a.data, rows, cols)
+	return out, nil
+}
+
+// transposeInto writes the (cols,rows) transpose of the row-major
+// (rows,cols) src into dst. It walks 16×16 tiles so the strided writes
+// of a tile stay in cache; a plain row walk thrashes whenever the
+// column stride is a power of two.
+func transposeInto(dst, src []float32, rows, cols int) {
+	const tile = 16
+	for r0 := 0; r0 < rows; r0 += tile {
+		r1 := min(r0+tile, rows)
+		for c0 := 0; c0 < cols; c0 += tile {
+			c1 := min(c0+tile, cols)
+			for r := r0; r < r1; r++ {
+				for c, v := range src[r*cols+c0 : r*cols+c1] {
+					dst[(c0+c)*rows+r] = v
+				}
+			}
 		}
 	}
-	return out, nil
 }

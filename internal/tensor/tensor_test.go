@@ -306,7 +306,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := New(m, n)
-	matmulAccumRange(want.Data(), a.Data(), b.Data(), 0, m, k, n)
+	matmulAccumRange(want.Data(), a.Data(), b.Data(), 0, m, k, n, k, 1)
 	assertClose(t, got, want, 1e-5)
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race cross-arm64 bench bench-diff ci verify e2e
+.PHONY: build test test-race cross-arm64 test-amd64-v3 bench bench-diff ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ test-race:
 # the non-assembly path keeps building.
 cross-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/tensor
+
+# Reruns the vector-kernel tests (vector exp under GELU and softmax,
+# the AXPY row kernel) with the compiler allowed to fuse a*b+c into
+# FMA, as GOAMD64=v3 does: the generic reference code must keep
+# rounding every product separately for the bit-identity to hold.
+test-amd64-v3:
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestVexp|TestAxpy4|TestMatMulGeneric' ./internal/tensor
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -61,7 +68,7 @@ vet:
 
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync.
-ci: build vet fmt-check test cross-arm64 test-race
+ci: build vet fmt-check test cross-arm64 test-amd64-v3 test-race
 
 .PHONY: fmt-check vet
 

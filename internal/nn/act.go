@@ -26,7 +26,7 @@ func (c *ActCache) Bytes() int64 {
 }
 
 // GELU applies the Gaussian Error Linear Unit (tanh approximation, as
-// used by OPT/GPT-style models).
+// used by OPT/GPT-style models), elementwise via tensor.GELU.
 func GELU(x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
 	return GELUScratch(nil, x, cache)
 }
@@ -37,14 +37,10 @@ func GELUScratch(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache) *tensor.
 	out := sc.Get(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			od[i] = geluScalar(v)
-		}
+		tensor.GELU(od, xd)
 	} else {
 		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = geluScalar(xd[i])
-			}
+			tensor.GELU(od[lo:hi], xd[lo:hi])
 		})
 	}
 	if cache != nil {
@@ -71,35 +67,13 @@ func GELUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor)
 	dx := sc.Get(cache.X.Shape()...)
 	xd, dyd, dxd := cache.X.Data(), dy.Data(), dx.Data()
 	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			dxd[i] = dyd[i] * geluGradScalar(v)
-		}
+		tensor.GELUGrad(dxd, xd, dyd)
 	} else {
 		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dxd[i] = dyd[i] * geluGradScalar(xd[i])
-			}
+			tensor.GELUGrad(dxd[lo:hi], xd[lo:hi], dyd[lo:hi])
 		})
 	}
 	return dx, nil
-}
-
-const (
-	geluC0 = 0.7978845608028654 // sqrt(2/pi)
-	geluC1 = 0.044715
-)
-
-func geluScalar(v float32) float32 {
-	x := float64(v)
-	return float32(0.5 * x * (1 + math.Tanh(geluC0*(x+geluC1*x*x*x))))
-}
-
-func geluGradScalar(v float32) float32 {
-	x := float64(v)
-	inner := geluC0 * (x + geluC1*x*x*x)
-	t := math.Tanh(inner)
-	dInner := geluC0 * (1 + 3*geluC1*x*x)
-	return float32(0.5*(1+t) + 0.5*x*(1-t*t)*dInner)
 }
 
 // SiLU applies x * sigmoid(x), the activation used by Llama's SwiGLU

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"menos/internal/quant"
 	"menos/internal/tensor"
@@ -198,8 +199,8 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if length > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(length))
+	if err != nil {
 		return nil, fmt.Errorf("split: read payload: %w", err)
 	}
 	m, err := newMessage(msgType)
@@ -257,6 +258,37 @@ func newMessage(t MsgType) (Message, error) {
 	}
 }
 
+// payloadChunk bounds how far ReadMessage allocates ahead of the bytes
+// a peer has actually sent. A frame up to one chunk is read into one
+// exact-size buffer; a larger one grows by doubling as its bytes
+// arrive, so a header that claims MaxFrameBytes and then stalls or
+// hangs up costs one chunk, not the claimed length.
+const payloadChunk = 256 << 10
+
+// readPayload reads exactly n payload bytes from r.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= payloadChunk {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf := make([]byte, 0, payloadChunk)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // encoder builds a payload buffer.
 type encoder struct {
 	buf []byte
@@ -288,8 +320,11 @@ func (e *encoder) ints(vs []int) {
 }
 func (e *encoder) floats(vs []float32) {
 	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u32(math.Float32bits(v))
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 4*len(vs))[:off+4*len(vs)]
+	b := e.buf[off:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
 	}
 }
 func (e *encoder) tensor(t *tensor.Tensor) {
@@ -387,9 +422,11 @@ func (d *decoder) floats() []float32 {
 		d.fail()
 		return nil
 	}
+	b := d.buf[d.off : d.off+4*n]
+	d.off += 4 * n
 	vs := make([]float32, n)
 	for i := range vs {
-		vs[i] = math.Float32frombits(d.u32())
+		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return vs
 }

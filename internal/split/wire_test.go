@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +290,48 @@ func TestDecoderIntsRejectsForgedCount(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("forged count allocated %v times per decode", allocs)
+	}
+}
+
+// TestReadMessageAllocatesOnlyReceivedBytes pins the hostile-peer
+// bound on payload reads: a header claiming MaxFrameBytes followed by
+// a hang-up must not allocate the claimed length up front.
+func TestReadMessageAllocatesOnlyReceivedBytes(t *testing.T) {
+	header := make([]byte, headerSize)
+	binary.LittleEndian.PutUint16(header[0:], Magic)
+	header[2] = Version
+	header[3] = byte(TypeForwardReq)
+	binary.LittleEndian.PutUint32(header[4:], MaxFrameBytes)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader(header))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("err = %v, want EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("claimed %d-byte frame allocated %d bytes before any payload arrived", MaxFrameBytes, got)
+	}
+}
+
+// TestReadMessageMultiChunkFrame round-trips a frame several payload
+// chunks long through the growing read path, and pins that a frame cut
+// short after its first chunk reports an unexpected EOF.
+func TestReadMessageMultiChunkFrame(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	act := tensor.NewNormal(rng, 1, 3*payloadChunk/(4*64)+7, 64)
+	got := roundTrip(t, &ForwardReq{Iter: 9, Activations: act}).(*ForwardReq)
+	if !slices.Equal(got.Activations.Data(), act.Data()) {
+		t.Fatal("multi-chunk activations differ after the round trip")
+	}
+
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &ForwardReq{Activations: act}); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:headerSize+payloadChunk+100]
+	if _, err := ReadMessage(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated multi-chunk frame: err = %v, want unexpected EOF", err)
 	}
 }

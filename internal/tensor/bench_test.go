@@ -121,3 +121,26 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGELU runs tanh-GELU forward and backward at the FFN
+// activation shape of the split workloads (128 tokens × 256 hidden),
+// serially: the nn layer fans larger tensors out over the pool itself.
+func BenchmarkGELU(b *testing.B) {
+	const rows, cols = 128, 256
+	rng := NewRNG(3)
+	x := NewNormal(rng, 1, rows, cols).Data()
+	dy := NewNormal(rng, 1, rows, cols).Data()
+	dst := make([]float32, len(x))
+	b.Run("forward", func(b *testing.B) {
+		b.SetBytes(2 * rows * cols * 4)
+		for i := 0; i < b.N; i++ {
+			GELU(dst, x)
+		}
+	})
+	b.Run("backward", func(b *testing.B) {
+		b.SetBytes(3 * rows * cols * 4)
+		for i := 0; i < b.N; i++ {
+			GELUGrad(dst, x, dy)
+		}
+	})
+}

@@ -75,7 +75,8 @@ func Mul(dst, a, b *Tensor) error {
 	return nil
 }
 
-// AXPY computes dst += alpha * x.
+// AXPY computes dst += alpha * x, rounding each product before the add
+// (as axpy4Generic does), so arm64 computes the bits amd64 does.
 func AXPY(alpha float32, x, dst *Tensor) error {
 	if len(x.data) != len(dst.data) {
 		return fmt.Errorf("%w: axpy %v into %v", ErrShape, x.shape, dst.shape)
@@ -83,13 +84,13 @@ func AXPY(alpha float32, x, dst *Tensor) error {
 	xd, dd := x.data, dst.data
 	if serialFor(len(dd), elemwiseGrain) {
 		for i, xv := range xd {
-			dd[i] += alpha * xv
+			dd[i] += float32(alpha * xv)
 		}
 		return nil
 	}
 	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dd[i] += alpha * xd[i]
+			dd[i] += float32(alpha * xd[i])
 		}
 	})
 	return nil
@@ -216,10 +217,9 @@ func softmaxRowRange(dst, a []float32, cols, rowLo, rowHi int) {
 				maxV = v
 			}
 		}
+		expShift(dr, ar, maxV)
 		var sum float64
-		for c, v := range ar {
-			e := float32(math.Exp(float64(v - maxV)))
-			dr[c] = e
+		for _, e := range dr {
 			sum += float64(e)
 		}
 		inv := float32(1.0 / sum)

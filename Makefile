@@ -15,10 +15,11 @@ test:
 # admission-control state flips), the batch-formation engine, the fleet
 # manager (concurrent scrape ingestion), the federated time-series
 # store, the alert engine, the activation wire codec (pool-parallel
-# pack/unpack), the TCP serving loop and the simulator that drives
-# them.
+# pack/unpack), the TCP serving loop, the client's pipelined
+# iteration loop and its live-migration redial (client and core
+# deployment tests), and the simulator that drives them.
 test-race:
-	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim
+	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/client ./internal/core ./internal/splitsim
 
 # Vets and compiles the tensor package and its tests for arm64, where
 # the generic Go row kernel stands in for the amd64 AVX2 assembly, so

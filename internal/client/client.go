@@ -423,7 +423,7 @@ func (c *Client) Demands() (forward, backward int64) {
 // (ids, targets), each of length Batch×Seq: forward, backward, and an
 // optimizer step on both adapter halves.
 func (c *Client) Step(ids, targets []int) (StepResult, error) {
-	return c.step(ids, targets, true)
+	return c.MicroStep(ids, targets, true)
 }
 
 // MicroStep runs one forward/backward and accumulates gradients on
@@ -433,120 +433,11 @@ func (c *Client) Step(ids, targets []int) (StepResult, error) {
 // with apply=true emulate a k× larger batch within the memory budget
 // of one micro-batch.
 func (c *Client) MicroStep(ids, targets []int, apply bool) (StepResult, error) {
-	return c.step(ids, targets, apply)
-}
-
-func (c *Client) step(ids, targets []int, apply bool) (StepResult, error) {
-	if len(ids) != c.cfg.Batch*c.cfg.Seq || len(targets) != len(ids) {
-		return StepResult{}, fmt.Errorf("client: batch is %d ids / %d targets, want %d",
-			len(ids), len(targets), c.cfg.Batch*c.cfg.Seq)
-	}
-	var comm, comp time.Duration
-	iter := c.iter
-	c.iter++
-
-	// Every iteration gets a deterministic trace ID; when the server
-	// negotiated trace context it rides the wire, so both processes'
-	// span buffers share it and a merged Chrome trace lines up.
-	var tid uint64
-	if c.cfg.Tracer != nil {
-		tid = obs.IterTraceID(c.cfg.ClientID, iter)
-	}
-	iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, "iteration", "iter", tid)
-
-	// Step 1 (client): input section forward.
-	sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-forward", "compute", tid)
-	t0 := time.Now()
-	xc, inCache, err := c.input.Forward(ids, c.cfg.Batch, c.cfg.Seq, true)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: input forward: %w", err)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	// Steps 1-2 (server): send x_c, receive x_s.
-	plain, packed, err := c.packWire(xc)
+	results, err := c.run([]MicroBatch{{IDs: ids, Targets: targets}}, apply)
 	if err != nil {
 		return StepResult{}, err
 	}
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "forward-rtt", "comm", tid)
-	t0 = time.Now()
-	xs, err := c.forwardRoundTrip(&split.ForwardReq{
-		Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq, Activations: plain,
-		Packed: packed, TraceID: c.wireTrace(tid),
-	})
-	if err != nil {
-		return StepResult{}, err
-	}
-	comm += time.Since(t0)
-	sp.End()
-
-	// Client: output section forward, loss, output backward.
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "output-loss", "compute", tid)
-	t0 = time.Now()
-	logits, outCache, err := c.output.Forward(xs, true)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: output forward: %w", err)
-	}
-	loss, dlogits, err := nn.CrossEntropy(logits, targets)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: loss: %w", err)
-	}
-	gc, err := c.output.Backward(outCache, dlogits)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: output backward: %w", err)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	// Steps 3-4 (server): send g_c, receive g_s.
-	plain, packed, err = c.packWire(gc)
-	if err != nil {
-		return StepResult{}, err
-	}
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", tid)
-	t0 = time.Now()
-	if err := split.WriteMessage(c.conn, &split.BackwardReq{
-		Iter: iter, Apply: apply, Gradients: plain, Packed: packed, TraceID: c.wireTrace(tid),
-	}); err != nil {
-		return StepResult{}, fmt.Errorf("client: send backward: %w", err)
-	}
-	gs, err := c.expectBackwardResp(iter)
-	if err != nil {
-		return StepResult{}, err
-	}
-	comm += time.Since(t0)
-	sp.End()
-
-	// Client: input section backward and adapter optimization.
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-backward", "compute", tid)
-	t0 = time.Now()
-	if err := c.input.Backward(inCache, gs); err != nil {
-		return StepResult{}, fmt.Errorf("client: input backward: %w", err)
-	}
-	if apply {
-		if err := c.optimizer.Step(c.params); err != nil {
-			return StepResult{}, fmt.Errorf("client: optimizer: %w", err)
-		}
-		nn.ZeroGrads(c.params)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	iterSpan.End()
-	c.breakdown.Add(comm, comp, 0)
-	c.m.iterations.Inc()
-	c.m.comm.ObserveExemplar(comm.Seconds(), tid)
-	c.m.comp.ObserveExemplar(comp.Seconds(), tid)
-	c.m.iterationsBy.Inc()
-	c.m.commBy.Observe(comm.Seconds())
-	c.m.compBy.Observe(comp.Seconds())
-	return StepResult{
-		Loss:       loss,
-		Perplexity: nn.Perplexity(loss),
-		CommTime:   comm,
-		CompTime:   comp,
-	}, nil
+	return results[0], nil
 }
 
 // wireTrace gates a trace ID for the wire: zero (and therefore absent
@@ -595,66 +486,39 @@ type pendingMicro struct {
 // the adapter parameters only change at the final apply, so the
 // numbers cannot differ — backward order itself stays i, i+1, ....
 //
-// When the server negotiated live migration the client falls back to
-// the sequential loop: a mid-pipeline redirect would displace requests
-// this schedule cannot replay.
+// Live migration composes with the pipeline: a redirect can only
+// displace a ForwardReq, which the client replays on the new server.
 func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 	if len(batches) == 0 {
 		return nil, errors.New("client: pipelined step needs at least one microbatch")
 	}
-	if c.migrateOK {
-		results := make([]StepResult, 0, len(batches))
-		for i, mb := range batches {
-			res, err := c.step(mb.IDs, mb.Targets, i == len(batches)-1)
-			if err != nil {
-				return results, err
-			}
-			results = append(results, res)
+	return c.run(batches, true)
+}
+
+// run is the client's one iteration loop (Algorithm 1, client side):
+// Step and MicroStep are its one-microbatch case, StepPipelined the
+// general one. Each microbatch's BackwardReq stays in flight until the
+// next microbatch's ForwardReq is on the wire; the last is drained at
+// the end, where the group's optimizer step runs when apply is set.
+// Only the final microbatch's BackwardReq carries apply.
+func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
+	// Validate the whole group before the first write: a bad microbatch
+	// found mid-group would strand an unread backward response on the
+	// connection.
+	want := c.cfg.Batch * c.cfg.Seq
+	for i, mb := range batches {
+		if len(mb.IDs) != want || len(mb.Targets) != want {
+			return nil, fmt.Errorf("client: microbatch %d is %d ids / %d targets, want %d",
+				i, len(mb.IDs), len(mb.Targets), want)
 		}
-		return results, nil
 	}
 
 	results := make([]StepResult, 0, len(batches))
-	var pending *pendingMicro
-
-	// finish drains a deferred microbatch: read its backward response,
-	// run the input-section backward, and account the iteration.
-	finish := func(p *pendingMicro) error {
-		c.m.overlapHidden.Observe(time.Since(p.sent).Seconds())
-		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", p.tid)
-		t0 := time.Now()
-		gs, err := c.expectBackwardResp(p.iter)
-		if err != nil {
-			return err
-		}
-		p.res.CommTime += time.Since(t0)
-		sp.End()
-
-		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-backward", "compute", p.tid)
-		t0 = time.Now()
-		if err := c.input.Backward(p.inCache, gs); err != nil {
-			return fmt.Errorf("client: input backward: %w", err)
-		}
-		p.res.CompTime += time.Since(t0)
-		sp.End()
-		p.span.End()
-
-		c.breakdown.Add(p.res.CommTime, p.res.CompTime, 0)
-		c.m.iterations.Inc()
-		c.m.comm.ObserveExemplar(p.res.CommTime.Seconds(), p.tid)
-		c.m.comp.ObserveExemplar(p.res.CompTime.Seconds(), p.tid)
-		c.m.iterationsBy.Inc()
-		c.m.commBy.Observe(p.res.CommTime.Seconds())
-		c.m.compBy.Observe(p.res.CompTime.Seconds())
-		results = append(results, p.res)
-		return nil
-	}
-
+	var pending pendingMicro
 	for i, mb := range batches {
-		if len(mb.IDs) != c.cfg.Batch*c.cfg.Seq || len(mb.Targets) != len(mb.IDs) {
-			return results, fmt.Errorf("client: microbatch %d is %d ids / %d targets, want %d",
-				i, len(mb.IDs), len(mb.Targets), c.cfg.Batch*c.cfg.Seq)
-		}
+		// Every iteration gets a deterministic trace ID; when the server
+		// negotiated trace context it rides the wire, so both processes'
+		// span buffers share it and a merged Chrome trace lines up.
 		iter := c.iter
 		c.iter++
 		var tid uint64
@@ -664,8 +528,9 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, "iteration", "iter", tid)
 		var res StepResult
 
-		// Input forward for this microbatch; the previous microbatch's
-		// backward is in flight on the server while this runs.
+		// Step 1 (client): input section forward. The previous
+		// microbatch's backward is in flight on the server while this
+		// runs.
 		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-forward", "compute", tid)
 		t0 := time.Now()
 		xc, inCache, err := c.input.Forward(mb.IDs, c.cfg.Batch, c.cfg.Seq, true)
@@ -675,43 +540,43 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		res.CompTime += time.Since(t0)
 		sp.End()
 
+		// Steps 1-2 (server): send x_c, receive x_s.
 		plain, packed, err := c.packWire(xc)
 		if err != nil {
 			return results, err
 		}
-		t0 = time.Now()
-		if err := split.WriteMessage(c.conn, &split.ForwardReq{
+		req := &split.ForwardReq{
 			Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq,
 			Activations: plain, Packed: packed, TraceID: c.wireTrace(tid),
-		}); err != nil {
+		}
+		t0 = time.Now()
+		if err := split.WriteMessage(c.conn, req); err != nil {
 			return results, fmt.Errorf("client: send forward: %w", err)
 		}
 		res.CommTime += time.Since(t0)
-		fwdSent := time.Now()
 
 		// Drain the previous microbatch while our forward request is
 		// on the wire (and queued behind its backward on the server).
-		if pending != nil {
-			if err := finish(pending); err != nil {
+		if i > 0 {
+			fwdSent := time.Now()
+			prev, err := c.drain(&pending, true, false)
+			if err != nil {
 				return results, err
 			}
-			pending = nil
+			results = append(results, prev)
+			c.m.overlapHidden.Observe(time.Since(fwdSent).Seconds())
 		}
 
-		c.m.overlapHidden.Observe(time.Since(fwdSent).Seconds())
 		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "forward-rtt", "comm", tid)
 		t0 = time.Now()
-		xs, redirect, err := c.expectForwardResp(iter)
+		xs, err := c.awaitForward(req)
 		if err != nil {
 			return results, err
-		}
-		if redirect != nil {
-			return results, errors.New("client: migration redirect during pipelined step")
 		}
 		res.CommTime += time.Since(t0)
 		sp.End()
 
-		// Output forward, loss, output backward.
+		// Client: output section forward, loss, output backward.
 		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "output-loss", "compute", tid)
 		t0 = time.Now()
 		logits, outCache, err := c.output.Forward(xs, true)
@@ -731,7 +596,7 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		res.Loss = loss
 		res.Perplexity = nn.Perplexity(loss)
 
-		// Ship the backward; its response is collected only after the
+		// Steps 3-4 (server): ship g_c; g_s is collected only after the
 		// next microbatch's forward has been computed and sent.
 		plain, packed, err = c.packWire(gc)
 		if err != nil {
@@ -739,30 +604,66 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		}
 		t0 = time.Now()
 		if err := split.WriteMessage(c.conn, &split.BackwardReq{
-			Iter: iter, Apply: i == len(batches)-1,
+			Iter: iter, Apply: apply && i == len(batches)-1,
 			Gradients: plain, Packed: packed, TraceID: c.wireTrace(tid),
 		}); err != nil {
 			return results, fmt.Errorf("client: send backward: %w", err)
 		}
 		res.CommTime += time.Since(t0)
-		pending = &pendingMicro{
+		pending = pendingMicro{
 			iter: iter, tid: tid, inCache: inCache, span: iterSpan,
 			res: res, sent: time.Now(),
 		}
 	}
-	if err := finish(pending); err != nil {
+	last, err := c.drain(&pending, false, apply)
+	if err != nil {
 		return results, err
 	}
+	return append(results, last), nil
+}
 
-	// Optimizer step for the whole accumulation group, attributed to
-	// the final microbatch like MicroStep(apply=true) would.
-	t0 := time.Now()
-	if err := c.optimizer.Step(c.params); err != nil {
-		return results, fmt.Errorf("client: optimizer: %w", err)
+// drain collects a written microbatch's backward response, runs the
+// input-section backward — plus the group's optimizer step when apply
+// is set — and accounts the iteration. hidden reports that another
+// microbatch's work ran since the BackwardReq was written, so the wait
+// so far was round-trip time hidden behind compute.
+func (c *Client) drain(p *pendingMicro, hidden, apply bool) (StepResult, error) {
+	if hidden {
+		c.m.overlapHidden.Observe(time.Since(p.sent).Seconds())
 	}
-	nn.ZeroGrads(c.params)
-	results[len(results)-1].CompTime += time.Since(t0)
-	return results, nil
+	sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", p.tid)
+	t0 := time.Now()
+	gs, err := c.expectBackwardResp(p.iter)
+	if err != nil {
+		return StepResult{}, err
+	}
+	p.res.CommTime += time.Since(t0)
+	sp.End()
+
+	// Client: input section backward and adapter optimization.
+	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-backward", "compute", p.tid)
+	t0 = time.Now()
+	if err := c.input.Backward(p.inCache, gs); err != nil {
+		return StepResult{}, fmt.Errorf("client: input backward: %w", err)
+	}
+	if apply {
+		if err := c.optimizer.Step(c.params); err != nil {
+			return StepResult{}, fmt.Errorf("client: optimizer: %w", err)
+		}
+		nn.ZeroGrads(c.params)
+	}
+	p.res.CompTime += time.Since(t0)
+	sp.End()
+	p.span.End()
+
+	c.breakdown.Add(p.res.CommTime, p.res.CompTime, 0)
+	c.m.iterations.Inc()
+	c.m.comm.ObserveExemplar(p.res.CommTime.Seconds(), p.tid)
+	c.m.comp.ObserveExemplar(p.res.CompTime.Seconds(), p.tid)
+	c.m.iterationsBy.Inc()
+	c.m.commBy.Observe(p.res.CommTime.Seconds())
+	c.m.compBy.Observe(p.res.CompTime.Seconds())
+	return p.res, nil
 }
 
 // Evaluate computes the loss over a batch without updating anything.
@@ -791,28 +692,37 @@ func (c *Client) Evaluate(ids, targets []int) (float64, error) {
 	return loss, err
 }
 
-// forwardRoundTrip sends a ForwardReq and waits for its response,
-// following at most one migration redirect: the redirect displaces
-// the forward, so after redialing the target (which restores the
-// session from the staged snapshot) the same request is replayed
-// there and the iteration completes as if nothing moved.
+// forwardRoundTrip sends a ForwardReq and waits for its response.
 func (c *Client) forwardRoundTrip(req *split.ForwardReq) (*tensor.Tensor, error) {
+	if err := split.WriteMessage(c.conn, req); err != nil {
+		return nil, fmt.Errorf("client: send forward: %w", err)
+	}
+	return c.awaitForward(req)
+}
+
+// awaitForward reads the response to a written ForwardReq, following
+// at most one migration redirect. The server checks for a pending
+// migration only when it reads a ForwardReq, and it reads a
+// connection's requests in order, so a redirect displaces exactly this
+// forward: every earlier request was served on the old connection, and
+// the caller has already read its response (run drains the pending
+// microbatch before waiting here). After redialing the target, which
+// restores the session from the staged snapshot, the same request is
+// replayed there and the iteration completes as if nothing moved.
+func (c *Client) awaitForward(req *split.ForwardReq) (*tensor.Tensor, error) {
 	for attempt := 0; ; attempt++ {
-		if err := split.WriteMessage(c.conn, req); err != nil {
-			return nil, fmt.Errorf("client: send forward: %w", err)
-		}
 		xs, redirect, err := c.expectForwardResp(req.Iter)
-		if err != nil {
-			return nil, err
-		}
-		if redirect == nil {
-			return xs, nil
+		if err != nil || redirect == nil {
+			return xs, err
 		}
 		if attempt > 0 {
 			return nil, fmt.Errorf("client: second migration redirect in one iteration (to %s)", redirect.Target)
 		}
 		if err := c.followMigration(redirect); err != nil {
 			return nil, err
+		}
+		if err := split.WriteMessage(c.conn, req); err != nil {
+			return nil, fmt.Errorf("client: send forward: %w", err)
 		}
 	}
 }

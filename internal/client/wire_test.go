@@ -311,7 +311,9 @@ func TestStepPipelinedCompressed(t *testing.T) {
 }
 
 // TestStepPipelinedValidation: bad microbatch geometry and empty
-// pipelines fail fast without touching the wire.
+// pipelines fail fast without touching the wire — a bad microbatch
+// after a good one included, so the connection stays in sync and the
+// next step succeeds.
 func TestStepPipelinedValidation(t *testing.T) {
 	addr, _ := startWireServer(t, quant.CodecFP32)
 	c, err := client.Dial(addr, validCfg("pipe-bad"))
@@ -324,6 +326,14 @@ func TestStepPipelinedValidation(t *testing.T) {
 	}
 	if _, err := c.StepPipelined([]client.MicroBatch{{IDs: []int{1}, Targets: []int{1}}}); err == nil {
 		t.Fatal("short microbatch accepted")
+	}
+	ids, targets := batch(16, 3000)
+	good := client.MicroBatch{IDs: ids, Targets: targets}
+	if _, err := c.StepPipelined([]client.MicroBatch{good, {IDs: []int{1}, Targets: []int{1}}}); err == nil {
+		t.Fatal("short trailing microbatch accepted")
+	}
+	if _, err := c.Step(ids, targets); err != nil {
+		t.Fatalf("step after rejected pipeline: %v", err)
 	}
 }
 

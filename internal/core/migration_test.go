@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -162,6 +164,177 @@ func TestLiveMigrationDeterminism(t *testing.T) {
 		if losses[i] != want[i] {
 			t.Fatalf("loss %d diverged after migration: %x vs control %x", i, losses[i], want[i])
 		}
+	}
+}
+
+// orderMigration posts a migration order to a server's admin plane.
+func orderMigration(adminURL string, ord fleet.MigrateOrder) error {
+	body, _ := json.Marshal(ord)
+	resp, err := http.Post(adminURL+"/admin/migrate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("migrate order: %s", resp.Status)
+	}
+	return nil
+}
+
+// migrateOnWrite is a client connection that orders a migration just
+// before its n-th Write. WriteMessage issues two writes per frame
+// (header, payload), so the order lands between two chosen frames.
+type migrateOnWrite struct {
+	net.Conn
+	n, writes int
+	order     func() error
+	err       error
+}
+
+func (m *migrateOnWrite) Write(p []byte) (int, error) {
+	m.writes++
+	if m.writes == m.n {
+		m.err = m.order()
+	}
+	return m.Conn.Write(p)
+}
+
+// runMigGroups steps the client through StepPipelined groups of
+// micros microbatches drawn from data, calling between(g) before each
+// group g, and returns the per-microbatch loss bits.
+func runMigGroups(t *testing.T, c *client.Client, data *tensor.RNG, groups, micros int, between func(g int)) []uint64 {
+	t.Helper()
+	var losses []uint64
+	for g := 0; g < groups; g++ {
+		between(g)
+		mbs := make([]client.MicroBatch, micros)
+		for i := range mbs {
+			ids, targets := migBatch(data, 8)
+			mbs[i] = client.MicroBatch{IDs: ids, Targets: targets}
+		}
+		results, err := c.StepPipelined(mbs)
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		for _, res := range results {
+			losses = append(losses, math.Float64bits(res.Loss))
+		}
+	}
+	return losses
+}
+
+// TestPipelinedLiveMigration: live migration composes with pipelined
+// stepping. The client moves A→B mid-group — the order lands while
+// microbatch 0's backward is in flight, so the redirect displaces
+// microbatch 1's forward — and back B→A at a group boundary. Every
+// loss and the final adapter bytes must match a never-migrated
+// control, every microbatch must be served exactly once, and the
+// pipeline must have kept overlapping instead of degrading to
+// sequential stepping.
+func TestPipelinedLiveMigration(t *testing.T) {
+	depA, err := NewDeployment(DeploymentConfig{Model: model.OPTTiny(), WeightSeed: 5, ServerID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer depA.Close()
+	depB, err := NewDeployment(DeploymentConfig{Model: model.OPTTiny(), WeightSeed: 5, ServerID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer depB.Close()
+	addrA, err := depA.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrB, err := depB.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adminA := httptest.NewServer(depA.Server.AdminHandler())
+	defer adminA.Close()
+	adminB := httptest.NewServer(depB.Server.AdminHandler())
+	defer adminB.Close()
+
+	raw, err := net.Dial("tcp", addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Writes 1-2 are the hello, 3-4 microbatch 0's ForwardReq, 5-6 its
+	// BackwardReq.
+	conn := &migrateOnWrite{Conn: raw, n: 5, order: func() error {
+		return orderMigration(adminA.URL, fleet.MigrateOrder{
+			ClientID: "mig", TargetAddr: addrB, TargetAdmin: adminB.URL, Token: 42,
+		})
+	}}
+	reg := obs.NewRegistry()
+	cfg := migClientConfig("mig")
+	cfg.Metrics = reg
+	c, err := client.New(conn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const groups, micros = 4, 3
+	losses := runMigGroups(t, c, tensor.NewRNG(11), groups, micros, func(g int) {
+		switch g {
+		case 1:
+			if conn.err != nil {
+				t.Fatalf("mid-group order: %v", conn.err)
+			}
+			if c.Migrations() != 1 {
+				t.Fatalf("after group 0: migrations = %d, want 1", c.Migrations())
+			}
+		case 2:
+			if err := orderMigration(adminB.URL, fleet.MigrateOrder{
+				ClientID: "mig", TargetAddr: addrA, TargetAdmin: adminA.URL, Token: 43,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if c.Migrations() != 2 {
+		t.Fatalf("migrations = %d, want 2", c.Migrations())
+	}
+	itersA := depA.Server.Stats().Iterations
+	itersB := depB.Server.Stats().Iterations
+	if itersA+itersB != groups*micros || itersB == 0 {
+		t.Fatalf("iterations A=%d B=%d, want total %d with B serving some", itersA, itersB, groups*micros)
+	}
+	if h := reg.Histogram(obs.MetricOverlapHiddenSeconds, nil); h.Count() == 0 {
+		t.Fatal("migration-capable client observed no pipelined overlap")
+	}
+	var adapterBytes bytes.Buffer
+	if err := c.SaveAdapter(&adapterBytes); err != nil {
+		t.Fatal(err)
+	}
+
+	depC, err := NewDeployment(DeploymentConfig{Model: model.OPTTiny(), WeightSeed: 5, ServerID: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer depC.Close()
+	addrC, err := depC.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := client.Dial(addrC, migClientConfig("mig"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	want := runMigGroups(t, ctrl, tensor.NewRNG(11), groups, micros, func(int) {})
+	for i := range want {
+		if losses[i] != want[i] {
+			t.Fatalf("microbatch %d diverged after migration: %x vs control %x", i, losses[i], want[i])
+		}
+	}
+	var ctrlBytes bytes.Buffer
+	if err := ctrl.SaveAdapter(&ctrlBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(adapterBytes.Bytes(), ctrlBytes.Bytes()) {
+		t.Fatal("client adapter diverged from the never-migrated control")
 	}
 }
 

@@ -82,12 +82,7 @@ func (s *Server) serveForwardBatched(conn net.Conn, sess *session, req *split.Fo
 	sess.cachedIter = req.Iter
 	sess.cachedBatch = req.Batch
 	sess.cachedSeq = req.Seq
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
-	plain, packed, err := s.encodeWire(sess, w.out)
-	if err != nil {
-		return fmt.Errorf("batched forward: %w", err)
-	}
-	return split.WriteMessage(conn, &split.ForwardResp{Iter: req.Iter, Activations: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
+	return s.replyForward(conn, sess, req, w.out, w.wait, w.comp)
 }
 
 // serveBackwardBatched mirrors serveForwardBatched for the re-forward +
@@ -109,15 +104,7 @@ func (s *Server) serveBackwardBatched(conn net.Conn, sess *session, req *split.B
 		}
 		nn.ZeroGrads(sess.params)
 	}
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
-	s.stats.iterations.Add(1)
-	s.m.iterations.Inc()
-	s.ledger.AddIteration(sess.id)
-	plain, packed, err := s.encodeWire(sess, w.out)
-	if err != nil {
-		return fmt.Errorf("batched backward: %w", err)
-	}
-	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
+	return s.replyBackward(conn, sess, req, w.out, w.wait, w.comp)
 }
 
 // execBatch runs one formed batch: acquire the aggregate grant, build

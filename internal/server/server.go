@@ -823,8 +823,14 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 		s.scheduler.Complete(sess.id)
 		rel.End()
 	}
+	return s.replyForward(conn, sess, req, resp, wait, comp)
+}
+
+// replyForward is the tail both forward paths (serial and batched)
+// share: account the half, then send x_s.
+func (s *Server) replyForward(conn net.Conn, sess *session, req *split.ForwardReq, xs *tensor.Tensor, wait, comp time.Duration) error {
 	s.recordIterationHalf(sess, wait, comp, req.TraceID)
-	plain, packed, err := s.encodeWire(sess, resp)
+	plain, packed, err := s.encodeWire(sess, xs)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
@@ -900,8 +906,13 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", req.TraceID)
 	s.scheduler.Complete(sess.id)
 	rel.End()
-	s.recordIterationHalf(sess, wait, comp, req.TraceID)
+	return s.replyBackward(conn, sess, req, gs, wait, comp)
+}
 
+// replyBackward is the tail both backward paths (serial and batched)
+// share: account the half and the completed iteration, then send g_s.
+func (s *Server) replyBackward(conn net.Conn, sess *session, req *split.BackwardReq, gs *tensor.Tensor, wait, comp time.Duration) error {
+	s.recordIterationHalf(sess, wait, comp, req.TraceID)
 	s.stats.iterations.Add(1)
 	s.m.iterations.Inc()
 	s.ledger.AddIteration(sess.id)
